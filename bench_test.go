@@ -250,9 +250,9 @@ func BenchmarkFig1Incremental(b *testing.B) {
 // BenchmarkResimulatePerturbed times the fleet layer alone: Perturb +
 // Resimulate with 1 and 10 dirty routers out of the calibrated fleet at
 // the suite's dataset resolution, plus 1 dirty router out of a generated
-// 1k-router hierarchical fleet (the chunk-retained path, at the
-// optimize-scale artifact's hourly resolution). The replay cost should
-// scale with the dirty count, not the fleet size.
+// 1k-router hierarchical fleet (at the optimize-scale artifact's hourly
+// resolution). The replay cost should scale with the dirty count plus
+// one fleet-order add of every clean router's retained columns.
 func BenchmarkResimulatePerturbed(b *testing.B) {
 	cases := []struct {
 		name string
@@ -374,10 +374,9 @@ func BenchmarkOptimizerStep(b *testing.B) {
 
 // BenchmarkOptimizerStep1k is BenchmarkOptimizerStep on a generated
 // 1k-router hierarchical fleet: the PlanStep decision covers ~1.5k
-// links and the actuation resimulates two dirty routers through the
-// chunk-retained path (decode-splice of the other ~998 routers' columns
-// included). This is the per-step cost of `joules -optimize -routers
-// 1000`.
+// links and the actuation resimulates two dirty routers (the fold of
+// the other ~998 routers' retained columns included). This is the
+// per-step cost of `joules -optimize -routers 1000`.
 func BenchmarkOptimizerStep1k(b *testing.B) {
 	cfg := ispnet.Config{
 		Seed:     42,

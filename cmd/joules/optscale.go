@@ -37,12 +37,8 @@ func runOptimizeScale(*experiments.Suite) error {
 	}
 	wall := time.Since(start)
 
-	mode := "live shards"
-	if row.ChunkRetained {
-		mode = "chunk-retained"
-	}
-	fmt.Printf("fleet: %d routers (%s), %d internal links, %s retention\n",
-		row.Routers, tierCensus(row.Tiers), row.Links, mode)
+	fmt.Printf("fleet: %d routers (%s), %d internal links\n",
+		row.Routers, tierCensus(row.Tiers), row.Links)
 	fmt.Printf("control: %d steps, %d actions, %d vetoes, %d resimulates, %d transitions, %d guardrail violations\n",
 		row.Steps, row.Actions, row.Vetoes, row.Resimulates, row.Transitions, row.GuardrailViolations)
 	fmt.Printf("baseline: %.1f kW mean wall power\n", row.BaselineMeanPower.Watts()/1e3)

@@ -60,9 +60,18 @@ func (s *Suite) baselinesUncached() ([]BaselineRow, error) {
 			return nil, fmt.Errorf("baseline for %s: %w", spec.Name, err)
 		}
 
-		// Baseline prediction: total traffic per poll from the counter view.
+		// Baseline prediction: total traffic per poll from the counter view,
+		// summed in interface-name order so the floating-point result does
+		// not depend on map iteration order.
+		rates := ds.IfaceRates[r.Name]
+		ifaces := make([]string, 0, len(rates))
+		for iface := range rates {
+			ifaces = append(ifaces, iface)
+		}
+		sort.Strings(ifaces)
 		var total *timeseries.Series
-		for _, series := range ds.IfaceRates[r.Name] {
+		for _, iface := range ifaces {
+			series := rates[iface]
 			if total == nil {
 				total = series
 				continue

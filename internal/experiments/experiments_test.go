@@ -545,3 +545,32 @@ func TestBaselinesQuantifySection2(t *testing.T) {
 		}
 	}
 }
+
+// TestBaselinesDeterministic pins Baselines to the bit across fresh
+// suites of the same seed: the per-interface traffic sum must not depend
+// on map iteration order.
+func TestBaselinesDeterministic(t *testing.T) {
+	var want []BaselineRow
+	for i := 0; i < 5; i++ {
+		rows, err := New(42).Baselines()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = rows
+			continue
+		}
+		if len(rows) != len(want) {
+			t.Fatalf("suite %d: %d rows, want %d", i, len(rows), len(want))
+		}
+		for j, r := range rows {
+			w := want[j]
+			if r.Router != w.Router || r.Model != w.Model ||
+				math.Float64bits(r.LabModelMAE.Watts()) != math.Float64bits(w.LabModelMAE.Watts()) ||
+				math.Float64bits(r.BaselineMAE.Watts()) != math.Float64bits(w.BaselineMAE.Watts()) ||
+				math.Float64bits(r.BaselineBias.Watts()) != math.Float64bits(w.BaselineBias.Watts()) {
+				t.Fatalf("suite %d row %d: %+v, want %+v", i, j, r, w)
+			}
+		}
+	}
+}

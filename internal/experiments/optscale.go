@@ -12,9 +12,9 @@ import (
 
 // The optimize-scale study closes the loop on generated fleets: where
 // the scale artifact streams a hierarchical fleet through a counting
-// sink, this one stands up the full control rig on it — chunk-retained
-// incremental fleet, derived hypnos topology, per-link observed traffic
-// — runs the §8 controller, and measures the realized wall-side joules
+// sink, this one stands up the full control rig on it — incremental
+// fleet, derived hypnos topology, per-link observed traffic — runs the
+// §8 controller, and measures the realized wall-side joules
 // against the same estimate envelope the calibrated section8online
 // artifact uses. It is the proof that nothing in the control plane is
 // pinned to the 107-router build.
@@ -47,11 +47,9 @@ func (c *OptimizeScaleConfig) applyDefaults() {
 type OptimizeScaleRow struct {
 	Routers int
 	// Tiers counts routers per tier; Links is the derived topology's
-	// internal link count; ChunkRetained reports the fleet's retention
-	// mode (true for generated hierarchical fleets).
-	Tiers         map[string]int
-	Links         int
-	ChunkRetained bool
+	// internal link count.
+	Tiers map[string]int
+	Links int
 	// Control-loop accounting over the window.
 	Steps               int
 	Actions             int
@@ -129,7 +127,6 @@ func RunOptimizeScale(cfg OptimizeScaleConfig) (OptimizeScaleRow, error) {
 	row := OptimizeScaleRow{
 		Routers:             cfg.Routers,
 		Links:               len(rig.Topo.Links),
-		ChunkRetained:       rig.Fleet.ChunkRetained(),
 		Steps:               len(rep.Steps),
 		Actions:             rep.Actions,
 		Vetoes:              rep.Vetoes,

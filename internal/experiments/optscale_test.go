@@ -7,7 +7,7 @@ import (
 
 // TestOptimizeScale1k closes the loop on a generated 1k-router fleet
 // over a short window (the 7-day default lives behind the CLI artifact):
-// the rig must come up chunk-retained, the controller must act, the
+// the rig must come up, the controller must act, the
 // guardrail must never fire, and the realized wall-side saving must land
 // in the advertised estimate envelope — the scale-agnostic twin of
 // TestSection8OnlineWindow.
@@ -20,9 +20,6 @@ func TestOptimizeScale1k(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !row.ChunkRetained {
-		t.Error("1k fleet not in chunk-retained mode")
 	}
 	if len(row.Tiers) != 3 {
 		t.Errorf("Tiers = %v, want 3 tiers", row.Tiers)

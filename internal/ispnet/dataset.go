@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"fantasticjoules/internal/device"
-	"fantasticjoules/internal/meter"
 	"fantasticjoules/internal/model"
 	"fantasticjoules/internal/psu"
 	"fantasticjoules/internal/timeseries"
@@ -94,11 +93,11 @@ func SimulateWithEvents(cfg Config, extra []FleetEvent) (*Dataset, error) {
 // The replay is sharded by router: every router's timeline (its filtered
 // events, its device advances, its wall samples and — when instrumented —
 // its meter and rate traces) is played independently by a worker pool
-// bounded by Config.Workers, then the per-shard results are reduced into
-// the network-wide series in fixed fleet order. Because each shard owns
-// all the state it touches and the reduction order never varies, the
-// Dataset is bit-identical for every worker count, including the serial
-// Workers=1 path.
+// bounded by Config.Workers, and the replay engine (replay.go) folds the
+// results into the network-wide series in fixed fleet order. Because each
+// shard owns all the state it touches and the reduction order never
+// varies, the Dataset is bit-identical for every worker count, including
+// the serial Workers=1 path.
 func (n *Network) Run() (*Dataset, error) {
 	return n.RunWithEvents(nil)
 }
@@ -109,39 +108,17 @@ func (n *Network) Run() (*Dataset, error) {
 // different deployment.
 func (n *Network) RunWithEvents(extra []FleetEvent) (*Dataset, error) {
 	metricRuns.Inc()
-	steps := n.stepGrid()
 	// Capacity is a deployment property of the pristine build: scheduled
 	// events change what is up, not what was provisioned.
-	capacity := n.totalCapacity()
+	return n.replay(n.schedule(extra), n.totalCapacity(), nil, nil, nil)
+}
 
-	// One external meter per instrumented router. Seeds depend only on
-	// the instrumentation order, never on worker scheduling.
-	meters := make(map[string]*meter.Meter)
-	for i, r := range n.AutopowerRouters() {
-		m := meter.New(n.meterSeed(i))
-		if err := m.Attach(0, r.Device); err != nil {
-			return nil, err
-		}
-		meters[r.Name] = m
-	}
-
+// schedule merges extra events into the built-in schedule, sorted by due
+// time. Like baseEvents it must run against the pristine build.
+func (n *Network) schedule(extra []FleetEvent) []FleetEvent {
 	evs := append(n.baseEvents(), extra...)
 	sortFleetEvents(evs)
-	compiled, err := n.compileEvents(evs)
-	if err != nil {
-		return nil, err
-	}
-
-	// Shard the fleet: one worker plays one router's full timeline.
-	byRouter := partitionEvents(compiled)
-	shards := make([]*routerShard, len(n.Routers))
-	for i, r := range n.Routers {
-		shards[i] = n.newShard(r, meters[r.Name], byRouter[r.Name], steps)
-	}
-	if err := playShards(shards, n.Config.Workers); err != nil {
-		return nil, err
-	}
-	return n.assembleDataset(steps, shards, evs, capacity), nil
+	return evs
 }
 
 // stepGrid returns the shared SNMP-cadence step grid; every shard walks
@@ -181,79 +158,6 @@ func (n *Network) totalCapacity() units.BitRate {
 // meter a cold run would have attached.
 func (n *Network) meterSeed(i int) int64 {
 	return n.Config.Seed + int64(i) + 1000
-}
-
-// newShard wires one router's replay unit.
-func (n *Network) newShard(r *Router, m *meter.Meter, evs []scheduledEvent, steps []time.Time) *routerShard {
-	return &routerShard{
-		net:    n,
-		router: r,
-		meter:  m,
-		events: evs,
-		steps:  steps,
-		snapAt: n.Config.Start.Add(n.Config.Duration / 2),
-	}
-}
-
-// assembleDataset reduces played shards into the network-wide dataset in
-// fixed fleet order, so the result is bit-identical for every worker
-// count — and for any replayed/reused shard mix in the incremental path.
-func (n *Network) assembleDataset(steps []time.Time, shards []*routerShard, evs []FleetEvent, capacity units.BitRate) *Dataset {
-	ds := &Dataset{
-		Network:          n,
-		TotalPower:       timeseries.NewWithCap("total-power", len(steps)),
-		TotalTraffic:     timeseries.NewWithCap("total-traffic", len(steps)),
-		TotalCapacity:    capacity,
-		RouterWallMedian: make(map[string]units.Power),
-		RouterWallPeak:   make(map[string]units.Power),
-		Autopower:        make(map[string]*timeseries.Series),
-		SNMPPower:        make(map[string]*timeseries.Series),
-		IfaceRates:       make(map[string]map[string]*timeseries.Series),
-		IfaceProfiles:    make(map[string]map[string]model.ProfileKey),
-		Events:           describeFleetEvents(evs),
-	}
-
-	// Deterministic reduction: totals sum the shards in fleet order at
-	// every step (a router contributes exactly 0 while undeployed, which
-	// does not perturb the floating-point sum).
-	for si, t := range steps {
-		var totalPower, totalTraffic float64
-		for _, sh := range shards {
-			totalPower += sh.power[si]
-			totalTraffic += sh.traffic[si]
-		}
-		ds.TotalPower.Append(t, totalPower)
-		ds.TotalTraffic.Append(t, totalTraffic)
-	}
-	for _, sh := range shards {
-		r := sh.router
-		if len(sh.wall) > 0 {
-			ds.RouterWallMedian[r.Name] = units.Power(medianOf(sh.wall))
-			// medianOf sorted the samples in place; the peak is the last.
-			ds.RouterWallPeak[r.Name] = units.Power(sh.wall[len(sh.wall)-1])
-		}
-		if sh.meter != nil {
-			ds.Autopower[r.Name] = sh.autopower
-			ds.IfaceRates[r.Name] = sh.rates
-			ds.IfaceProfiles[r.Name] = sh.profiles
-			if sh.snmp != nil {
-				ds.SNMPPower[r.Name] = sh.snmp
-			}
-		}
-		// One-time PSU sensor export, mid-window (§9.2: a snapshot, not
-		// a trace — the SNMP data only carries Pin). Captured by the
-		// shard at the end of its replay so the per-router rng stream is
-		// advanced identically whether the shard was replayed cold or
-		// spliced back from a retained fleet.
-		if sh.psus != nil {
-			ds.PSUSnapshots = append(ds.PSUSnapshots, psu.RouterPSUs{
-				Router: r.Name,
-				Model:  r.Device.Model(),
-				PSUs:   sh.psus,
-			})
-		}
-	}
-	return ds
 }
 
 // scheduledEvent is an event with its mutation.
@@ -322,9 +226,7 @@ func (n *Network) baseEvents() []FleetEvent {
 // scheduleEvents compiles the built-in schedule against the current
 // network. Kept as the one-call form the schedule tests exercise.
 func (n *Network) scheduleEvents() []scheduledEvent {
-	evs := n.baseEvents()
-	sortFleetEvents(evs)
-	compiled, err := n.compileEvents(evs)
+	compiled, err := n.compileEvents(n.schedule(nil))
 	if err != nil {
 		// Unreachable: the built-in schedule only references routers and
 		// ops this network owns.

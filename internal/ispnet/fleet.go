@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"fantasticjoules/internal/meter"
 	"fantasticjoules/internal/units"
 )
 
@@ -224,12 +223,14 @@ func (n *Network) compileEvents(evs []FleetEvent) ([]scheduledEvent, error) {
 }
 
 // Fleet is the retained-state form of Simulate. It keeps the built
-// network, the per-router shard results, and the merged event schedule,
-// so that after Perturb only the routers named by the new events — the
-// dirty set — are rebuilt and replayed; every clean shard's columnar
-// series and summaries are spliced back into the dataset untouched.
-// Resimulate is bit-identical to a cold SimulateWithEvents over the same
-// merged event list (the golden and property tests pin this), because:
+// network, one retained result per router (its raw power and traffic
+// step columns, wall median and peak, PSU snapshot and, for instrumented
+// routers, their traces), and the merged event schedule, so that after
+// Perturb only the routers named by the new events — the dirty set — are
+// rebuilt and replayed; every clean router's retained result is folded
+// back into the dataset untouched. Resimulate is bit-identical to a cold
+// SimulateWithEvents over the same merged event list (the golden and
+// property tests pin this), because:
 //
 //   - every router's replay is already independent (shards share no
 //     mutable state, per-router rng streams are seeded by fleet index),
@@ -237,8 +238,8 @@ func (n *Network) compileEvents(evs []FleetEvent) ([]scheduledEvent, error) {
 //     which reproduces their pristine deployment exactly,
 //   - the PSU snapshot is captured inside each shard's replay, so clean
 //     routers' rng streams are never re-advanced,
-//   - the dataset reduction runs over the full shard list in fleet
-//     order, exactly as the cold path does.
+//   - the replay engine folds every router in fleet order, played or
+//     retained, exactly as the cold path does.
 //
 // A Fleet is not safe for concurrent use; a failed Resimulate leaves it
 // unusable (the retained routers may be partially replayed).
@@ -246,7 +247,6 @@ type Fleet struct {
 	cfg Config
 	net *Network
 
-	steps    []time.Time
 	capacity units.BitRate
 	// base is the built-in schedule resolved against the pristine build;
 	// it must never be regenerated from the retained (mutated) network.
@@ -254,58 +254,35 @@ type Fleet struct {
 	// extra accumulates every perturbation ever applied, so a cold
 	// SimulateWithEvents(cfg, extra) reproduces the current state.
 	extra []FleetEvent
-	// meterSeeds maps instrumented router name → external-meter seed,
-	// captured once (the AutopowerRouters order of the pristine build).
-	meterSeeds map[string]int64
-
-	// Exactly one retention representation is populated. The calibrated
-	// fleet keeps live shards (their instrumented traces are part of the
-	// dataset); hierarchical fleets keep the bounded chunk retention of
-	// fleet_chunks.go.
-	shards    []*routerShard
-	chunked   bool
-	chunks    []routerChunks
-	stepNanos []int64
+	// results holds every router's last replay result, in fleet order.
+	results []routerResult
 
 	dirty map[string]bool
 	ds    *Dataset
 }
 
 // NewFleet builds the network and plays the full study window once,
-// retaining every shard's results for later incremental replays.
+// retaining every router's result for later incremental replays.
 func NewFleet(cfg Config) (*Fleet, error) {
 	n, err := Build(cfg)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fleet{
-		cfg:        n.Config, // defaults applied by Build
-		net:        n,
-		steps:      n.stepGrid(),
-		capacity:   n.totalCapacity(),
-		base:       n.baseEvents(),
-		meterSeeds: make(map[string]int64),
-		dirty:      make(map[string]bool),
+		cfg:      n.Config, // defaults applied by Build
+		net:      n,
+		capacity: n.totalCapacity(),
+		base:     n.baseEvents(),
+		results:  make([]routerResult, len(n.Routers)),
+		dirty:    make(map[string]bool),
 	}
-	for i, r := range n.AutopowerRouters() {
-		f.meterSeeds[r.Name] = n.meterSeed(i)
-	}
-	// Generated hierarchical fleets retain encoded chunks instead of live
-	// shards (fleet_chunks.go): they carry no instrumented routers, and at
-	// 10k+ routers the live-shard working set would not fit a bounded
-	// heap. The calibrated build keeps the shard path and its traces.
-	f.chunked = n.Hierarchical() && len(f.meterSeeds) == 0
 	metricRuns.Inc()
-	if err := f.replay(nil); err != nil {
+	f.ds, err = n.replay(f.mergedEvents(), f.capacity, nil, f.results, nil)
+	if err != nil {
 		return nil, err
 	}
 	return f, nil
 }
-
-// ChunkRetained reports whether the fleet runs in the bounded-memory
-// chunk-retained mode (hierarchical configs) rather than retaining live
-// shards.
-func (f *Fleet) ChunkRetained() bool { return f.chunked }
 
 // Dataset returns the dataset of the last (re)simulation. The caller must
 // treat it as immutable; Resimulate replaces it.
@@ -361,8 +338,9 @@ func (f *Fleet) Perturb(events ...FleetEvent) error {
 }
 
 // Resimulate replays the dirty routers against the merged event schedule
-// and splices their fresh shard results into the retained dataset. With
-// no pending perturbations it returns the current dataset unchanged.
+// and folds their fresh results, with every clean router's retained one,
+// into a new dataset. With no pending perturbations it returns the
+// current dataset unchanged.
 func (f *Fleet) Resimulate() (*Dataset, error) {
 	if len(f.dirty) == 0 {
 		return f.ds, nil
@@ -388,10 +366,12 @@ func (f *Fleet) Resimulate() (*Dataset, error) {
 	}
 	dirty := f.dirty
 	f.dirty = make(map[string]bool)
-	if err := f.replay(dirty); err != nil {
+	ds, err := f.net.replay(f.mergedEvents(), f.capacity, dirty, f.results, nil)
+	if err != nil {
 		return nil, err
 	}
-	return f.ds, nil
+	f.ds = ds
+	return ds, nil
 }
 
 func (f *Fleet) mergedEvents() []FleetEvent {
@@ -400,48 +380,4 @@ func (f *Fleet) mergedEvents() []FleetEvent {
 	evs = append(evs, f.extra...)
 	sortFleetEvents(evs)
 	return evs
-}
-
-// replay plays the shards in the dirty set (nil means every shard) and
-// reassembles the dataset from the full — part fresh, part retained —
-// shard list. The merged schedule is recompiled each time so event
-// closures capture the current router objects.
-func (f *Fleet) replay(dirty map[string]bool) error {
-	if f.chunked {
-		return f.replayChunked(dirty)
-	}
-	n := f.net
-	evs := f.mergedEvents()
-	compiled, err := n.compileEvents(evs)
-	if err != nil {
-		return err
-	}
-	byRouter := partitionEvents(compiled)
-
-	if f.shards == nil {
-		f.shards = make([]*routerShard, len(n.Routers))
-	}
-	replay := make([]*routerShard, 0, len(n.Routers))
-	for i, r := range n.Routers {
-		if dirty != nil && !dirty[r.Name] {
-			metricShardsReused.Inc()
-			continue
-		}
-		var m *meter.Meter
-		if seed, ok := f.meterSeeds[r.Name]; ok {
-			m = meter.New(seed)
-			if err := m.Attach(0, r.Device); err != nil {
-				return err
-			}
-		}
-		sh := n.newShard(r, m, byRouter[r.Name], f.steps)
-		f.shards[i] = sh
-		replay = append(replay, sh)
-	}
-	metricShardsReplayed.Add(uint64(len(replay)))
-	if err := playShards(replay, f.cfg.Workers); err != nil {
-		return err
-	}
-	f.ds = n.assembleDataset(f.steps, f.shards, evs, f.capacity)
-	return nil
 }

@@ -1,58 +1,159 @@
 package ispnet
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 )
 
-// TestFleetColdMatchesSimulate pins the retained-state entry point to the
-// batch path: a fresh Fleet's dataset is bit-identical to Simulate.
-func TestFleetColdMatchesSimulate(t *testing.T) {
-	want, err := Simulate(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFleet(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	datasetsIdentical(t, f.Dataset(), want)
+// fleetCase is one fleet the incremental Perturb/Resimulate contract is
+// tested on: the calibrated 107-router build, whose instrumented routers
+// retain their meter, SNMP and rate traces, or a generated 1k-router
+// hierarchy. Every comparison runs through the DiffDatasets Float64bits
+// oracle against a cold SimulateWithEvents of the same merged schedule.
+type fleetCase struct {
+	name string
+	// quick and golden return the fleet's configs at a worker count: a
+	// short window for the cold and randomized tests, and the window the
+	// golden perturbation spans (the full 9 weeks on the calibrated
+	// build, so every built-in Fig. 4 event fires).
+	quick, golden func(workers int) Config
+	// perturbation is the golden batch, applied as successive
+	// Perturb+Resimulate rounds (so retained results from one round fold
+	// into the next).
+	perturbation func(t *testing.T, n *Network) [][]FleetEvent
+	// trials seeds the randomized rounds; rounds and random draw each
+	// trial's round count and batches.
+	trials []int64
+	rounds func(rng *rand.Rand) int
+	random func(rng *rand.Rand, n *Network) []FleetEvent
+	// long marks the randomized rounds as not a -short test.
+	long bool
 }
 
-// TestFleetResimulateGolden is the incremental-correctness golden test:
-// over the full 9-week window — with every built-in Fig. 4 event firing —
-// a fixed perturbation batch applied through Perturb+Resimulate must
-// reproduce, bit for bit, a cold SimulateWithEvents over the merged
-// event list.
-func TestFleetResimulateGolden(t *testing.T) {
-	f, err := NewFleet(fullCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	extra := goldenPerturbation(t, f.Network())
-	if err := f.Perturb(extra...); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.Resimulate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SimulateWithEvents(fullCfg(), extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	datasetsIdentical(t, got, want)
+var fleetCases = []fleetCase{
+	{
+		name: "calibrated-107",
+		quick: func(workers int) Config {
+			cfg := quickCfg()
+			cfg.Workers = workers
+			return cfg
+		},
+		golden: func(workers int) Config {
+			cfg := fullCfg()
+			cfg.Workers = workers
+			return cfg
+		},
+		perturbation: func(t *testing.T, n *Network) [][]FleetEvent {
+			return [][]FleetEvent{goldenPerturbation(t, n)}
+		},
+		trials: []int64{4000, 4001, 4002},
+		rounds: func(rng *rand.Rand) int { return 1 + rng.Intn(3) },
+		random: func(rng *rand.Rand, n *Network) []FleetEvent {
+			return randomEvents(rng, n, 1+rng.Intn(5))
+		},
+	},
+	{
+		name: "generated-1k",
+		quick: func(workers int) Config {
+			return hierFleetCfg(1000, workers, 12*time.Hour, time.Hour)
+		},
+		golden: func(workers int) Config {
+			return hierFleetCfg(1000, workers, 24*time.Hour, time.Hour)
+		},
+		perturbation: func(t *testing.T, n *Network) [][]FleetEvent {
+			evs := hierPerturbation(n, n.Config.Start)
+			return [][]FleetEvent{evs[:4], evs[4:]}
+		},
+		trials: []int64{1234},
+		rounds: func(*rand.Rand) int { return 3 },
+		random: func(rng *rand.Rand, n *Network) []FleetEvent {
+			return randomHierEvents(rng, n, n.Config.Start, n.Config.Duration)
+		},
+		long: true,
+	},
+}
 
-	// Resimulate with nothing pending is a no-op returning the same
-	// dataset object.
-	again, err := f.Resimulate()
-	if err != nil {
-		t.Fatal(err)
+// forEachFleet runs fn on every fleet case at Workers 1 and 8, and checks
+// the datasets fn returns are identical across the two worker counts.
+func forEachFleet(t *testing.T, fn func(t *testing.T, fc fleetCase, workers int) *Dataset) {
+	for _, fc := range fleetCases {
+		t.Run(fc.name, func(t *testing.T) {
+			var got []*Dataset
+			for _, workers := range []int{1, 8} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					got = append(got, fn(t, fc, workers))
+				})
+			}
+			if len(got) == 2 && got[0] != nil && got[1] != nil {
+				datasetsIdentical(t, got[0], got[1])
+			}
+		})
 	}
-	if again != got {
-		t.Fatal("no-op Resimulate rebuilt the dataset")
-	}
+}
+
+// TestFleetColdMatchesSimulate pins the retained-state entry point to the
+// batch paths: a fresh Fleet's dataset, Run's and RunStream's are all
+// bit-identical.
+func TestFleetColdMatchesSimulate(t *testing.T) {
+	forEachFleet(t, func(t *testing.T, fc fleetCase, workers int) *Dataset {
+		cfg := fc.quick(workers)
+		want, err := Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := SimulateStream(cfg, &DiscardSink{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		datasetsIdentical(t, streamed, want)
+		f, err := NewFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		datasetsIdentical(t, f.Dataset(), want)
+		return f.Dataset()
+	})
+}
+
+// TestFleetResimulateGolden is the incremental-correctness golden test: a
+// fixed perturbation applied through Perturb+Resimulate rounds must
+// reproduce, bit for bit, a cold SimulateWithEvents over the merged event
+// list.
+func TestFleetResimulateGolden(t *testing.T) {
+	forEachFleet(t, func(t *testing.T, fc fleetCase, workers int) *Dataset {
+		cfg := fc.golden(workers)
+		f, err := NewFleet(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *Dataset
+		for _, round := range fc.perturbation(t, f.Network()) {
+			if err := f.Perturb(round...); err != nil {
+				t.Fatal(err)
+			}
+			if got, err = f.Resimulate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := SimulateWithEvents(cfg, f.ExtraEvents())
+		if err != nil {
+			t.Fatal(err)
+		}
+		datasetsIdentical(t, got, want)
+
+		// Resimulate with nothing pending is a no-op returning the same
+		// dataset object.
+		again, err := f.Resimulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != got {
+			t.Fatal("no-op Resimulate rebuilt the dataset")
+		}
+		return got
+	})
 }
 
 // goldenPerturbation builds a fixed three-router perturbation batch that
@@ -96,40 +197,40 @@ func goldenPerturbation(t *testing.T, n *Network) []FleetEvent {
 
 // TestFleetResimulatePropertyRandom is the property test of the
 // incremental contract: for random event batches over random routers —
-// applied across multiple Perturb/Resimulate rounds — the final dataset
-// is bit-identical to one cold SimulateWithEvents holding the merged
-// event list, at Workers=1 and Workers=8.
+// applied across multiple Perturb/Resimulate rounds — every round's
+// dataset is bit-identical to one cold SimulateWithEvents holding the
+// merged event list.
 func TestFleetResimulatePropertyRandom(t *testing.T) {
-	for _, workers := range []int{1, 8} {
-		for trial := int64(0); trial < 3; trial++ {
-			cfg := quickCfg()
-			cfg.Workers = workers
-			rng := rand.New(rand.NewSource(4000 + trial))
-
+	forEachFleet(t, func(t *testing.T, fc fleetCase, workers int) *Dataset {
+		if fc.long && testing.Short() {
+			t.Skip("randomized generated-fleet rounds are not a -short test")
+		}
+		cfg := fc.quick(workers)
+		var ds *Dataset
+		for _, trial := range fc.trials {
+			rng := rand.New(rand.NewSource(trial))
 			f, err := NewFleet(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var all []FleetEvent
-			rounds := 1 + rng.Intn(3)
+			rounds := fc.rounds(rng)
 			for round := 0; round < rounds; round++ {
-				batch := randomEvents(rng, f.Network(), 1+rng.Intn(5))
-				all = append(all, batch...)
-				if err := f.Perturb(batch...); err != nil {
+				if err := f.Perturb(fc.random(rng, f.Network())...); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := f.Resimulate(); err != nil {
+				if ds, err = f.Resimulate(); err != nil {
+					t.Fatalf("trial %d round %d: %v", trial, round, err)
+				}
+				want, err := SimulateWithEvents(cfg, f.ExtraEvents())
+				if err != nil {
 					t.Fatal(err)
 				}
+				datasetsIdentical(t, ds, want)
 			}
-			want, err := SimulateWithEvents(cfg, all)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("workers=%d trial=%d: %d events over %d rounds", workers, trial, len(all), rounds)
-			datasetsIdentical(t, f.Dataset(), want)
+			t.Logf("trial %d: %d events over %d rounds", trial, len(f.ExtraEvents()), rounds)
 		}
-	}
+		return ds
+	})
 }
 
 // randomEvents draws a batch of valid perturbations against the current

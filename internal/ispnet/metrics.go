@@ -33,6 +33,10 @@ var (
 		"router shards replayed by the incremental Fleet path (dirty or cold)")
 	metricShardsReused = telemetry.Default().Counter("ispnet_shards_reused_total",
 		"router shards spliced back unchanged by Fleet.Resimulate")
+	metricFleetChunkBytes = telemetry.Default().Gauge("ispnet_fleet_chunk_bytes",
+		"bytes of raw per-router power and traffic columns retained by Fleets (all fleets built)")
+	metricFleetChunkSplices = telemetry.Default().Counter("ispnet_fleet_chunk_splices_total",
+		"clean routers whose retained columns Fleet.Resimulate folded back in")
 )
 
 // playInstrumented wraps one shard replay with its telemetry: worker-pool

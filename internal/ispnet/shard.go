@@ -2,30 +2,28 @@ package ispnet
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"fantasticjoules/internal/device"
 	"fantasticjoules/internal/meter"
 	"fantasticjoules/internal/model"
-	"fantasticjoules/internal/psu"
 	"fantasticjoules/internal/timeseries"
 	"fantasticjoules/internal/trafficgen"
 	"fantasticjoules/internal/units"
 )
 
-// routerShard is the unit of parallelism in Run: one router's complete
-// timeline — its filtered event queue, its device advances, its wall
-// samples and, for instrumented routers, its Autopower/SNMP/rate traces.
+// routerShard is the unit of parallelism of the replay engine: one
+// router's complete timeline — its filtered event queue, its device
+// advances, its wall samples and, for instrumented routers, its
+// Autopower/SNMP/rate traces.
 //
 // Everything a shard touches while play runs is owned by exactly one
 // worker goroutine (goroutine confinement): the *device.Router and
 // *meter.Meter belong to this router alone, LoadAt is pure, and the events
 // in the queue mutate only this router. The hot path therefore contends on
-// no locks. The result fields are read by the merge step only after the
-// worker pool has joined.
+// no locks. The result fields are read by the fold only after the worker
+// has signalled the shard done.
 type routerShard struct {
 	net    *Network
 	router *Router
@@ -33,30 +31,22 @@ type routerShard struct {
 	events []scheduledEvent
 	steps  []time.Time
 	// snapAt is the mid-window instant of the one-time PSU sensor export.
-	// The snapshot is taken by the shard itself (not by the dataset
-	// assembly) because EnvSnapshot draws from the router's private rng:
-	// capturing it at a fixed point in the shard's replay keeps the rng
-	// stream — and therefore every later draw — identical whether the
-	// shard ran in a cold Simulate or an incremental Fleet replay.
+	// The snapshot is taken by the shard itself (not by the fold) because
+	// EnvSnapshot draws from the router's private rng: capturing it at a
+	// fixed point in the shard's replay keeps the rng stream — and
+	// therefore every later draw — identical whether the shard ran in a
+	// cold Simulate or an incremental Fleet replay.
 	snapAt time.Time
 
-	// Per-step contributions to the network totals, indexed like steps.
-	// Steps where the router is not deployed contribute exactly 0, which
-	// keeps the merged floating-point sums independent of deployment gaps.
-	power   []float64
-	traffic []float64
+	// routerResult holds what play produces: the per-step power and
+	// traffic columns (indexed like steps; steps where the router is not
+	// deployed contribute exactly 0, which keeps the merged floating-point
+	// sums independent of deployment gaps), the instrumented traces, and
+	// the PSU export. summarizeWall fills in its wall statistics.
+	routerResult
 	// wall collects the wall-power samples of deployed steps in time
-	// order; the merge derives RouterWallMedian from it.
+	// order; summarizeWall derives the median and peak from it.
 	wall []float64
-
-	// Instrumented-router traces (nil otherwise).
-	autopower *timeseries.Series
-	snmp      *timeseries.Series
-	rates     map[string]*timeseries.Series
-	profiles  map[string]model.ProfileKey
-	// psus is the mid-window environment-sensor export (nil when the
-	// router was not active at snapAt).
-	psus []psu.Snapshot
 
 	// plan is the precomputed per-interface replay state: device handle
 	// and profile resolved once, rebuilt only when a scheduled event fires
@@ -111,30 +101,59 @@ func (sh *routerShard) buildPlan() error {
 	return nil
 }
 
-// ensureBuffers allocates any step buffers the shard arrived without.
-// The streaming path (stream.go) pre-attaches pooled, zeroed buffers so
-// a bounded working set cycles through the whole fleet; a cold shard
-// allocates its own here, once per window.
-func (sh *routerShard) ensureBuffers(cfg Config) {
-	r := sh.router
-	if sh.power == nil {
-		sh.power = make([]float64, len(sh.steps))
+// reset wires the shard for one router's replay. The engine recycles a
+// bounded set of shards through the whole fleet, so reset keeps the
+// step-buffer and plan capacity of the shard's previous router and zeroes
+// the columns: a shard relies on undeployed steps reading 0. Instrumented
+// routers get fresh traces, which outlive the shard in the dataset.
+func (sh *routerShard) reset(n *Network, r *Router, m *meter.Meter, evs []scheduledEvent, steps []time.Time) {
+	*sh = routerShard{
+		net:    n,
+		router: r,
+		meter:  m,
+		events: evs,
+		steps:  steps,
+		snapAt: n.Config.Start.Add(n.Config.Duration / 2),
+		routerResult: routerResult{
+			power:   zeroedFloats(sh.power, len(steps)),
+			traffic: zeroedFloats(sh.traffic, len(steps)),
+		},
+		wall: sh.wall[:0],
+		plan: sh.plan[:0],
 	}
-	if sh.traffic == nil {
-		sh.traffic = make([]float64, len(sh.steps))
-	}
-	if sh.wall == nil {
-		sh.wall = make([]float64, 0, len(sh.steps))
-	}
-	if sh.meter != nil {
+	if m != nil {
+		cfg := n.Config
 		subSteps := int(cfg.SNMPStep / cfg.AutopowerStep)
 		if cfg.SNMPStep%cfg.AutopowerStep != 0 {
 			subSteps++
 		}
-		sh.autopower = timeseries.NewWithCap(r.Name+".autopower", len(sh.steps)*subSteps)
+		sh.autopower = timeseries.NewWithCap(r.Name+".autopower", len(steps)*subSteps)
 		sh.rates = make(map[string]*timeseries.Series, len(r.Interfaces))
 		sh.profiles = make(map[string]model.ProfileKey, len(r.Interfaces))
 	}
+}
+
+// zeroedFloats returns buf resized to n and zero-filled, reallocating
+// only when its capacity is short.
+func zeroedFloats(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// summarizeWall derives the result's wall median and peak from the
+// played samples (sorting them in place).
+func (sh *routerShard) summarizeWall() {
+	if len(sh.wall) == 0 {
+		return
+	}
+	sh.hasWall = true
+	sh.wallMedian = medianOf(sh.wall)
+	// medianOf sorted the samples in place; the peak is the last.
+	sh.wallPeak = sh.wall[len(sh.wall)-1]
 }
 
 // play replays the router's full study window. It is the sharded port of
@@ -146,8 +165,6 @@ func (sh *routerShard) ensureBuffers(cfg Config) {
 func (sh *routerShard) play() error {
 	n, r := sh.net, sh.router
 	cfg := n.Config
-	//jouleslint:ignore hotpath -- cold start: allocates each shard's working set once, before its window replays
-	sh.ensureBuffers(cfg)
 	if err := sh.buildPlan(); err != nil {
 		return err
 	}
@@ -263,54 +280,6 @@ func (sh *routerShard) play() error {
 	if !sh.snapAt.IsZero() && r.Active(sh.snapAt) {
 		//jouleslint:ignore hotpath -- one-time PSU export after the window (§9.2), not per step
 		sh.psus = r.Device.EnvSnapshot()
-	}
-	return nil
-}
-
-// playShards drives every shard to completion. workers ≤ 0 selects
-// runtime.GOMAXPROCS(0); 1 plays the shards sequentially on the calling
-// goroutine with zero pool overhead. The produced data is identical for
-// every worker count: shards share no mutable state and the caller reduces
-// their results in fleet order.
-func playShards(shards []*routerShard, workers int) error {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers <= 1 {
-		for _, sh := range shards {
-			if err := sh.playInstrumented(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	var wg sync.WaitGroup
-	work := make(chan *routerShard)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sh := range work {
-				sh.err = sh.playInstrumented()
-			}
-		}()
-	}
-	for _, sh := range shards {
-		work <- sh
-	}
-	close(work)
-	wg.Wait()
-
-	// Report the first failure in fleet order, so errors — like the data —
-	// do not depend on goroutine scheduling.
-	for _, sh := range shards {
-		if sh.err != nil {
-			return sh.err
-		}
 	}
 	return nil
 }

@@ -1,45 +1,24 @@
 package ispnet
 
 import (
-	"runtime"
 	"sort"
-	"sync"
+	"time"
 
-	"fantasticjoules/internal/meter"
-	"fantasticjoules/internal/model"
-	"fantasticjoules/internal/psu"
 	"fantasticjoules/internal/telemetry"
 	"fantasticjoules/internal/timeseries"
-	"fantasticjoules/internal/units"
 )
 
-// Streaming simulation mode. Run keeps every shard's full-window buffers
-// alive until the final reduction, so its peak heap grows with the
-// fleet-size × duration product — a 9-week 100k-router run does not fit.
-// RunStream replaces the keep-everything join with a bounded-window
-// ordered fold:
-//
-//	producer  builds shards lazily, attaches pooled step buffers, and
-//	          admits at most workers+2 in-flight shards
-//	workers   play shards concurrently, exactly as Run does
-//	consumer  (the calling goroutine) folds finished shards into the
-//	          dataset aggregates in fleet order, spills their per-router
-//	          series to the SeriesSink as columnar chunks, and recycles
-//	          the buffers
-//
-// Peak heap is O(fleet metadata) + O(window × steps) regardless of
-// duration. The fold accumulates the per-step totals shard by shard in
-// fleet order — the identical floating-point addition sequence Run's
-// reduction performs — so the produced Dataset is bit-identical to Run's
+// Streaming simulation mode. Run retains every instrumented trace but
+// nothing else; RunStream additionally spills every router's
+// full-resolution series to a SeriesSink as columnar chunks while the
+// replay engine (replay.go) folds it, so a 9-week 100k-router run keeps
+// peak heap at O(fleet metadata) + O(window × steps) and still hands the
+// caller every sample. The Dataset is the one Run returns, bit for bit
 // (stream_test.go proves it under the DiffDatasets oracle).
 
 // streamChunkPoints is the spill chunk size: 1024 points ≈ 9 KB encoded,
 // small enough to buffer, large enough to amortize the sink call.
 const streamChunkPoints = 1024
-
-// streamWindowSlack is how many shards beyond the worker count may be in
-// flight: finished shards waiting for their in-order fold turn.
-const streamWindowSlack = 2
 
 // SeriesSink receives the per-router series a streaming run spills. Chunks
 // use the timeseries.AppendChunk encoding; within one (router, series)
@@ -115,226 +94,73 @@ func SimulateStream(cfg Config, sink SeriesSink) (*Dataset, error) {
 // config — while every router's full-resolution power and traffic series
 // go to the sink instead of the heap.
 func (n *Network) RunStream(sink SeriesSink) (*Dataset, error) {
-	return n.RunStreamWithEvents(nil, sink)
-}
-
-// streamSlot is one in-flight shard: the worker closes done when the
-// shard has played, and the consumer folds slots strictly in fleet order.
-type streamSlot struct {
-	sh   *routerShard
-	bufs *streamBufs
-	done chan struct{}
-}
-
-// streamBufs is the pooled per-shard working set.
-type streamBufs struct {
-	power, traffic, wall []float64
-}
-
-// RunStreamWithEvents is RunStream with extra declarative events merged
-// into the built-in schedule, mirroring RunWithEvents.
-func (n *Network) RunStreamWithEvents(extra []FleetEvent, sink SeriesSink) (*Dataset, error) {
 	metricRuns.Inc()
 	metricStreamRuns.Inc()
-	steps := n.stepGrid()
-	capacity := n.totalCapacity()
-
-	meters := make(map[string]*meter.Meter)
-	for i, r := range n.AutopowerRouters() {
-		m := meter.New(n.meterSeed(i))
-		if err := m.Attach(0, r.Device); err != nil {
-			return nil, err
-		}
-		meters[r.Name] = m
-	}
-
-	evs := append(n.baseEvents(), extra...)
-	sortFleetEvents(evs)
-	compiled, err := n.compileEvents(evs)
-	if err != nil {
-		return nil, err
-	}
-	byRouter := partitionEvents(compiled)
-
-	workers := n.Config.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(n.Routers) {
-		workers = len(n.Routers)
-	}
-	window := workers + streamWindowSlack
-
-	stepNanos := make([]int64, len(steps))
-	for i, t := range steps {
-		stepNanos[i] = t.UnixNano()
-	}
-
-	// The bounded pipeline. slots preserves fleet order and its buffer is
-	// the admission window: the producer blocks once window shards are in
-	// flight, so at most window step-buffer sets exist at any instant.
-	pool := sync.Pool{New: func() any { return &streamBufs{} }}
-	slots := make(chan *streamSlot, window)
-	work := make(chan *streamSlot)
-	go func() {
-		for _, r := range n.Routers {
-			sh := n.newShard(r, meters[r.Name], byRouter[r.Name], steps)
-			bufs := pool.Get().(*streamBufs)
-			sh.power = zeroedFloats(bufs.power, len(steps))
-			sh.traffic = zeroedFloats(bufs.traffic, len(steps))
-			sh.wall = bufs.wall[:0]
-			//jouleslint:ignore scratchsafety -- bounded handoff: the fold is the slot's only consumer and puts the buffers back before admitting another slot past the window
-			s := &streamSlot{sh: sh, bufs: bufs, done: make(chan struct{})}
-			slots <- s
-			work <- s
-		}
-		close(slots)
-		close(work)
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range work {
-				s.sh.err = s.sh.playInstrumented()
-				close(s.done)
-			}
-		}()
-	}
-
-	// The consumer folds in fleet order on the calling goroutine.
-	ds := &Dataset{
-		Network:          n,
-		TotalPower:       timeseries.NewWithCap("total-power", len(steps)),
-		TotalTraffic:     timeseries.NewWithCap("total-traffic", len(steps)),
-		TotalCapacity:    capacity,
-		RouterWallMedian: make(map[string]units.Power),
-		RouterWallPeak:   make(map[string]units.Power),
-		Autopower:        make(map[string]*timeseries.Series),
-		SNMPPower:        make(map[string]*timeseries.Series),
-		IfaceRates:       make(map[string]map[string]*timeseries.Series),
-		IfaceProfiles:    make(map[string]map[string]model.ProfileKey),
-		Events:           describeFleetEvents(evs),
-	}
-	totalPower := make([]float64, len(steps))
-	totalTraffic := make([]float64, len(steps))
-	var encBuf []byte
-	spill := func(router, series string, ts []int64, vs []float64) error {
-		for i := 0; i < len(vs); i += streamChunkPoints {
-			j := i + streamChunkPoints
-			if j > len(vs) {
-				j = len(vs)
-			}
-			encBuf = timeseries.AppendChunk(encBuf[:0], ts[i:j], vs[i:j])
-			metricStreamChunks.Inc()
-			metricStreamChunkBytes.Add(uint64(len(encBuf)))
-			if err := sink.WriteChunk(router, series, encBuf); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	spillSeries := func(router string, s *timeseries.Series) error {
-		return s.Blocks(streamChunkPoints, func(ts []int64, vs []float64) error {
-			encBuf = timeseries.AppendChunk(encBuf[:0], ts, vs)
-			metricStreamChunks.Inc()
-			metricStreamChunkBytes.Add(uint64(len(encBuf)))
-			return sink.WriteChunk(router, s.Name, encBuf)
-		})
-	}
-	fold := func(sh *routerShard) error {
-		// Identical addition sequence to Run's reduction: at every step,
-		// shard contributions accumulate in fleet order.
-		for si := range steps {
-			totalPower[si] += sh.power[si]
-			totalTraffic[si] += sh.traffic[si]
-		}
-		if err := spill(sh.router.Name, "power", stepNanos, sh.power); err != nil {
-			return err
-		}
-		if err := spill(sh.router.Name, "traffic", stepNanos, sh.traffic); err != nil {
-			return err
-		}
-		r := sh.router
-		if len(sh.wall) > 0 {
-			ds.RouterWallMedian[r.Name] = units.Power(medianOf(sh.wall))
-			ds.RouterWallPeak[r.Name] = units.Power(sh.wall[len(sh.wall)-1])
-		}
-		if sh.meter != nil {
-			ds.Autopower[r.Name] = sh.autopower
-			ds.IfaceRates[r.Name] = sh.rates
-			ds.IfaceProfiles[r.Name] = sh.profiles
-			if sh.snmp != nil {
-				ds.SNMPPower[r.Name] = sh.snmp
-			}
-			if err := spillSeries(r.Name, sh.autopower); err != nil {
-				return err
-			}
-			if sh.snmp != nil {
-				if err := spillSeries(r.Name, sh.snmp); err != nil {
-					return err
-				}
-			}
-			// Rates in sorted interface order, so the sink sees a
-			// deterministic chunk sequence.
-			names := make([]string, 0, len(sh.rates))
-			for name := range sh.rates {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				if err := spillSeries(r.Name, sh.rates[name]); err != nil {
-					return err
-				}
-			}
-		}
-		if sh.psus != nil {
-			ds.PSUSnapshots = append(ds.PSUSnapshots, psu.RouterPSUs{
-				Router: r.Name,
-				Model:  r.Device.Model(),
-				PSUs:   sh.psus,
-			})
-		}
-		return nil
-	}
-
-	var firstErr error
-	for s := range slots {
-		<-s.done
-		sh := s.sh
-		if firstErr == nil {
-			if sh.err != nil {
-				firstErr = sh.err
-			} else if err := fold(sh); err != nil {
-				firstErr = err
-			}
-		}
-		// Recycle the step buffers (wall may have grown under append).
-		s.bufs.power, s.bufs.traffic, s.bufs.wall = sh.power, sh.traffic, sh.wall
-		sh.power, sh.traffic, sh.wall = nil, nil, nil
-		pool.Put(s.bufs)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	for si, t := range steps {
-		ds.TotalPower.Append(t, totalPower[si])
-		ds.TotalTraffic.Append(t, totalTraffic[si])
-	}
-	return ds, nil
+	return n.replay(n.schedule(nil), n.totalCapacity(), nil, nil, sink)
 }
 
-// zeroedFloats returns buf resized to n and zero-filled, reallocating
-// only when the pooled capacity is short. Pooled buffers carry the
-// previous shard's samples; a shard relies on undeployed steps reading 0.
-func zeroedFloats(buf []float64, n int) []float64 {
-	if cap(buf) < n {
-		return make([]float64, n)
+// spiller encodes played routers' series onto a SeriesSink, reusing one
+// encode buffer across the run.
+type spiller struct {
+	sink      SeriesSink
+	stepNanos []int64
+	buf       []byte
+}
+
+func newSpiller(sink SeriesSink, steps []time.Time) *spiller {
+	sp := &spiller{sink: sink, stepNanos: make([]int64, len(steps))}
+	for i, t := range steps {
+		sp.stepNanos[i] = t.UnixNano()
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	return sp
+}
+
+// write spills parallel columns as streamChunkPoints-sized chunks.
+func (sp *spiller) write(router, series string, ts []int64, vs []float64) error {
+	for i := 0; i < len(vs); i += streamChunkPoints {
+		j := min(i+streamChunkPoints, len(vs))
+		sp.buf = timeseries.AppendChunk(sp.buf[:0], ts[i:j], vs[i:j])
+		metricStreamChunks.Inc()
+		metricStreamChunkBytes.Add(uint64(len(sp.buf)))
+		if err := sp.sink.WriteChunk(router, series, sp.buf); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// router spills one router's result: its "power" and "traffic" step
+// columns, then — when instrumented — its autopower, snmp, and rate
+// traces, the rates in sorted interface order so the sink sees a
+// deterministic chunk sequence.
+func (sp *spiller) router(name string, res *routerResult) error {
+	if err := sp.write(name, "power", sp.stepNanos, res.power); err != nil {
+		return err
+	}
+	if err := sp.write(name, "traffic", sp.stepNanos, res.traffic); err != nil {
+		return err
+	}
+	if res.autopower == nil {
+		return nil
+	}
+	traces := []*timeseries.Series{res.autopower}
+	if res.snmp != nil {
+		traces = append(traces, res.snmp)
+	}
+	ifaces := make([]string, 0, len(res.rates))
+	for iface := range res.rates {
+		ifaces = append(ifaces, iface)
+	}
+	sort.Strings(ifaces)
+	for _, iface := range ifaces {
+		traces = append(traces, res.rates[iface])
+	}
+	for _, s := range traces {
+		if err := s.Blocks(streamChunkPoints, func(ts []int64, vs []float64) error {
+			return sp.write(name, s.Name, ts, vs)
+		}); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -44,7 +44,7 @@ func (m *memSink) WriteChunk(router, series string, chunk []byte) error {
 
 // TestStreamMatchesSimulate107 is the golden equivalence: the streaming
 // fold over the calibrated 107-router fleet must produce a Dataset
-// bit-identical to the retained-memory Simulate under the DiffDatasets
+// bit-identical to Simulate's under the DiffDatasets
 // Float64bits oracle — aggregates, wall statistics, instrumented traces,
 // PSU snapshots, events, everything.
 func TestStreamMatchesSimulate107(t *testing.T) {
@@ -96,7 +96,7 @@ func TestStreamMatchesSimulate107(t *testing.T) {
 }
 
 // TestStreamMatchesSimulateHierarchy extends the golden equivalence to a
-// generated fleet: same seed, same size ⇒ the streaming and retained
+// generated fleet: same seed, same size ⇒ the streaming and batch
 // paths agree bit for bit.
 func TestStreamMatchesSimulateHierarchy(t *testing.T) {
 	cfg := Config{

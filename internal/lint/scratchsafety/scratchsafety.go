@@ -3,9 +3,9 @@
 // static generalization of the Fleet.Events() aliasing bug PR 9 fixed
 // by hand.
 //
-// The experiments suite and the streaming fold hand out scratch buffers
-// from pool arenas; once Put returns a buffer to the pool, any retained
-// alias is silently overwritten by the next cycle. This analyzer tracks
+// The experiments suite hands out scratch buffers from pool arenas;
+// once Put returns a buffer to the pool, any retained alias is silently
+// overwritten by the next cycle. This analyzer tracks
 // values that flow out of a direct (*sync.Pool).Get call or out of a
 // pool-getter function (any function in the unit whose body calls Get
 // directly — the arena accessor pattern), follows same-function ident

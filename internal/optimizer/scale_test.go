@@ -15,7 +15,7 @@ import (
 // 107-router tests pin — zero guardrail violations, no fresh sleep of a
 // faulted carrier, hysteresis-bounded oscillation, same-seed bit-identity
 // — must hold when the rig is derived from a generated 1k-router
-// hierarchical fleet, where the retained side runs in chunk mode. A
+// hierarchical fleet. A
 // structural 100k smoke checks the control plane's topology path alone.
 
 // hier1kCfg is the 1k-router rig config: hierarchical fleet, hourly SNMP
@@ -59,9 +59,6 @@ func storm1k(t *testing.T) *optimizer.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Fleet.ChunkRetained() {
-		t.Error("1k fleet not in chunk-retained mode")
-	}
 	return rep
 }
 
@@ -69,7 +66,7 @@ func storm1k(t *testing.T) *optimizer.Report {
 // the generated topology while the loop decides, and every 107-router
 // invariant must carry over — plus two same-seed runs must produce the
 // identical decision trace and bit-identical realized joules through the
-// chunk-retained resimulation path.
+// incremental resimulation path.
 func TestOptimizer1kFaultStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k closed-loop runs in -short mode")
