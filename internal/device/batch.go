@@ -14,7 +14,8 @@ import (
 // name-keyed methods (SetTraffic, InterfaceState) pay a map lookup and a
 // mutex round-trip per call; the handle API resolves each name to a dense
 // index once, and a Step batches a whole simulation step under a single
-// lock acquisition.
+// lock acquisition. A steady-state Step allocates nothing
+// (TestStepBatchZeroAlloc).
 
 // Handle identifies one interface of one router by its dense port index.
 // Resolve it once with Router.Handle; it stays valid for the router's
@@ -92,21 +93,15 @@ type Step struct {
 }
 
 // BeginStep locks the router and returns the batch view.
-//
-//joules:hotpath
 func (r *Router) BeginStep() Step {
 	r.mu.Lock()
 	return Step{r: r}
 }
 
 // End releases the router. The Step must not be used afterwards.
-//
-//joules:hotpath
 func (s Step) End() { s.r.mu.Unlock() }
 
 // SetTraffic sets the offered load on the interface with the given handle.
-//
-//joules:hotpath
 func (s Step) SetTraffic(h Handle, bits units.BitRate, packets units.PacketRate) error {
 	if !s.r.valid(h) {
 		panic(fmt.Sprintf("device: %s has no interface handle %d", s.r.name, h))
@@ -116,8 +111,6 @@ func (s Step) SetTraffic(h Handle, bits units.BitRate, packets units.PacketRate)
 
 // InterfaceState returns the present/admin/oper state of the interface
 // with the given handle.
-//
-//joules:hotpath
 func (s Step) InterfaceState(h Handle) (present, adminUp, operUp bool) {
 	if !s.r.valid(h) {
 		panic(fmt.Sprintf("device: %s has no interface handle %d", s.r.name, h))
@@ -128,11 +121,7 @@ func (s Step) InterfaceState(h Handle) (present, adminUp, operUp bool) {
 
 // WallPower samples the true wall power within the batch (one jitter draw,
 // exactly as Router.WallPower).
-//
-//joules:hotpath
 func (s Step) WallPower() units.Power { return s.r.wallPowerLocked() }
 
 // Advance moves the simulation clock within the batch.
-//
-//joules:hotpath
 func (s Step) Advance(dt time.Duration) time.Time { return s.r.advanceLocked(dt) }

@@ -485,7 +485,6 @@ func (r *Router) rebuildStaticLocked() {
 // offered traffic). Callers must hold r.mu.
 func (r *Router) dcLoadLocked() units.Power {
 	if !r.staticOK {
-		//jouleslint:ignore hotpath -- static-term cache rebuild: runs only after a config event invalidates it, amortized across steps
 		r.rebuildStaticLocked()
 	}
 	s := &r.spec

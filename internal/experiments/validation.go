@@ -219,8 +219,6 @@ type counterCursor struct {
 // the model predicts. The (possibly grown) buffer is handed back for the
 // next tick, so the steady state appends into warm capacity and the loop
 // over a multi-week trace allocates nothing per tick.
-//
-//joules:hotpath
 func predictTick(m *model.Model, ifaces []counterCursor, tickNano, staleAfter int64, meanPkt units.ByteSize, buf []model.Interface) (units.Power, []model.Interface, error) {
 	cfg := model.Config{Interfaces: buf[:0]}
 	for ii := range ifaces {

@@ -537,8 +537,6 @@ func (n *Network) markSpecialRouters() {
 // noise. On the calibrated fleet the mean is the hand-set MeanLoad under
 // the network-wide diurnal shape; on hierarchical fleets it is the
 // subscriber-cohort aggregate under per-cohort shapes.
-//
-//joules:hotpath
 func (n *Network) LoadAt(itf *Interface, r *Router, t time.Time) units.BitRate {
 	var cm [trafficgen.NumCohorts]float64
 	if n.hier {

@@ -159,9 +159,8 @@ func (sh *routerShard) summarizeWall() {
 // play replays the router's full study window. It is the sharded port of
 // the former time×routers loop: the same event application, traffic
 // offering, metering cadence, and device advances, restricted to one
-// router.
-//
-//joules:hotpath
+// router. Only per-window setup allocates; the step loop does not
+// (TestShardPlayAllocsFlat).
 func (sh *routerShard) play() error {
 	n, r := sh.net, sh.router
 	cfg := n.Config
@@ -242,7 +241,6 @@ func (sh *routerShard) play() error {
 				if p.rateSeries == nil {
 					rates, ok := sh.rates[p.itf.Name]
 					if !ok {
-						//jouleslint:ignore hotpath -- lazy per-interface series creation: first metered step for that interface only
 						rates = timeseries.NewWithCap(r.Name+"."+p.itf.Name+".rate", len(sh.steps))
 						sh.rates[p.itf.Name] = rates
 					}
@@ -258,7 +256,6 @@ func (sh *routerShard) play() error {
 			}
 			if rep, err := r.Device.ReportedTotalPower(); err == nil {
 				if sh.snmp == nil {
-					//jouleslint:ignore hotpath -- lazy one-time creation of the reported-power series
 					sh.snmp = timeseries.NewWithCap(r.Name+".snmp", len(sh.steps))
 				}
 				sh.snmp.Append(t, rep.Watts())
@@ -278,7 +275,6 @@ func (sh *routerShard) play() error {
 	// the caller — so the draws land at the same point of the router's
 	// rng stream in cold and incremental replays alike.
 	if !sh.snapAt.IsZero() && r.Active(sh.snapAt) {
-		//jouleslint:ignore hotpath -- one-time PSU export after the window (§9.2), not per step
 		sh.psus = r.Device.EnvSnapshot()
 	}
 	return nil

@@ -126,25 +126,6 @@ func suppressedLines(fset *token.FileSet, files []*ast.File, name string) map[st
 	return out
 }
 
-// IgnoredLines is the per-file set of source lines a //jouleslint:ignore
-// directive covers for one analyzer, keyed by filename then line.
-// Interprocedural analyzers consult it at non-diagnostic positions too:
-// the hotpath analyzer treats an ignore on a call site as cutting that
-// call edge out of the hot region.
-type IgnoredLines map[string]map[int]bool
-
-// Has reports whether the position's line is suppressed.
-func (ig IgnoredLines) Has(pos token.Position) bool {
-	return ig[pos.Filename][pos.Line]
-}
-
-// IgnoredLinesFor collects the lines suppressed for the named analyzer
-// across the given files. A directive covers its own line and the next,
-// exactly as FilterSuppressed honors it.
-func IgnoredLinesFor(fset *token.FileSet, files []*ast.File, name string) IgnoredLines {
-	return suppressedLines(fset, files, name)
-}
-
 // FilterSuppressed drops diagnostics whose position carries a
 // //jouleslint:ignore directive for the analyzer. Both the CLI driver and
 // the analysistest harness apply it, so suppressions behave identically
@@ -204,18 +185,6 @@ func FuncFor(stack []ast.Node) ast.Node {
 		switch stack[i].(type) {
 		case *ast.FuncDecl, *ast.FuncLit:
 			return stack[i]
-		}
-	}
-	return nil
-}
-
-// EnclosingFuncDecl returns the innermost *ast.FuncDecl in the stack, or
-// nil. Unlike FuncFor it skips function literals: it answers "which
-// declared function am I in", for naming-convention checks.
-func EnclosingFuncDecl(stack []ast.Node) *ast.FuncDecl {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if fd, ok := stack[i].(*ast.FuncDecl); ok {
-			return fd
 		}
 	}
 	return nil

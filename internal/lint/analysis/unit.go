@@ -25,8 +25,8 @@ type UnitPackage struct {
 
 // Unit is the whole analyzed load: every target package of one driver
 // run, sharing one file set. It is the substrate of interprocedural
-// analysis — a Fact computed over the Unit (the call graph, the hot-path
-// reachability set, the arena-getter set) sees across package boundaries,
+// analysis — a Fact computed over the Unit (the call graph, the epoch
+// compute region, the arena-getter set) sees across package boundaries,
 // where a Pass sees one package.
 //
 // The driver builds one Unit per run and hands it to every Pass; facts
@@ -54,7 +54,7 @@ type factEntry struct {
 // Fact is one memoized whole-unit computation, the jouleslint analogue of
 // go/analysis result dependencies: an analyzer lists the facts it needs
 // in Requires, and FactOf returns the shared, lazily computed value. A
-// fact may itself request other facts (the hot-path set requests the call
+// fact may itself request other facts (the epoch info requests the call
 // graph); cycles are reported as errors.
 type Fact struct {
 	// Name identifies the fact in errors and in the driver's timing
@@ -94,7 +94,7 @@ func (u *Unit) FactOf(f *Fact) (any, error) {
 	}
 	u.computing[f] = true
 	// Release the lock across Compute so a fact may request other facts
-	// (the hot-path set pulls the call graph); the computing set turns a
+	// (the epoch info pulls the call graph); the computing set turns a
 	// cyclic request into an error instead of a re-entrant deadlock.
 	u.mu.Unlock()
 	val, err := f.Compute(u)

@@ -10,7 +10,7 @@ import (
 
 // BenchmarkJouleslint times a full-suite run over the entire repository —
 // load, shared facts (call graph, pool getters, epoch info), and all
-// eight analyzers. This is what CI's lint gate pays on every push; the
+// seven analyzers. This is what CI's lint gate pays on every push; the
 // recording in BENCH_<n>.json keeps the cost visible as the tree and the
 // analyzer suite grow.
 func BenchmarkJouleslint(b *testing.B) {

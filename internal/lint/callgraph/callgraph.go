@@ -4,9 +4,7 @@
 //
 // The graph has one node per declared function or method in the unit.
 // Calls inside function literals are attributed to the enclosing
-// declaration — a closure runs on its creator's goroutine-agnostic
-// behalf as far as allocation and aliasing discipline are concerned —
-// so "everything LoadAt transitively calls" naturally includes the
+// declaration, so everything a function transitively calls includes the
 // bodies of the closures it builds. Call edges are resolved two ways:
 //
 //   - statically, through the type-checker's Uses/Selections maps, for
@@ -20,25 +18,23 @@
 // Calls through function-typed values (fields, parameters, variables)
 // produce no edge; analyzers that must be conservative about them can
 // inspect call sites themselves. Node and edge order is deterministic
-// (package load order, then source order), so reachability walks — and
-// therefore diagnostics — are stable across runs.
+// (package load order, then source order), so diagnostics derived from
+// the graph are stable across runs.
 package callgraph
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"fantasticjoules/internal/lint/analysis"
 )
 
-// Edge is one resolved call: Caller's body contains a call at Pos that
-// may dispatch to Callee. Dynamic marks edges resolved by class-
+// Edge is one resolved call: Caller's body contains a call that may
+// dispatch to Callee. Dynamic marks edges resolved by class-
 // hierarchy analysis rather than a direct static reference.
 type Edge struct {
 	Caller  *types.Func
 	Callee  *types.Func
-	Pos     token.Pos
 	Dynamic bool
 }
 
@@ -55,60 +51,30 @@ type Graph struct {
 // functions declared outside the unit or without a body).
 func (g *Graph) Edges(fn *types.Func) []Edge { return g.out[fn] }
 
-// Reach walks the graph breadth-first from the roots, skipping edges
-// for which skip returns true (a nil skip follows every edge), and
-// returns the discovery edge of every function reached through at least
-// one call. Roots map to a zero Edge; following Caller pointers from
-// any reached function's discovery edge reconstructs a call chain back
-// to a root. The walk visits roots and edges in order, so the discovery
-// edges — and any diagnostics derived from them — are deterministic.
-func (g *Graph) Reach(roots []*types.Func, skip func(Edge) bool) map[*types.Func]Edge {
-	reached := make(map[*types.Func]Edge, len(roots))
+// Reach returns the set of functions reachable from the roots through
+// zero or more call edges, roots included.
+func (g *Graph) Reach(roots []*types.Func) map[*types.Func]bool {
+	reached := make(map[*types.Func]bool, len(roots))
 	queue := make([]*types.Func, 0, len(roots))
 	for _, r := range roots {
-		if r == nil {
+		if r == nil || reached[r] {
 			continue
 		}
-		if _, ok := reached[r]; ok {
-			continue
-		}
-		reached[r] = Edge{}
+		reached[r] = true
 		queue = append(queue, r)
 	}
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
 		for _, e := range g.out[fn] {
-			if _, ok := reached[e.Callee]; ok {
+			if reached[e.Callee] {
 				continue
 			}
-			if skip != nil && skip(e) {
-				continue
-			}
-			reached[e.Callee] = e
+			reached[e.Callee] = true
 			queue = append(queue, e.Callee)
 		}
 	}
 	return reached
-}
-
-// Chain reconstructs the call chain from a root to fn as the sequence
-// of discovery edges, outermost call first. It returns nil when fn is
-// itself a root (or was never reached).
-func (g *Graph) Chain(reached map[*types.Func]Edge, fn *types.Func) []Edge {
-	var rev []Edge
-	for {
-		e, ok := reached[fn]
-		if !ok || e.Caller == nil {
-			break
-		}
-		rev = append(rev, e)
-		fn = e.Caller
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
 
 // Fact is the memoized whole-unit call graph; analyzers list it in
@@ -166,14 +132,14 @@ func collectEdges(info *types.Info, impls *implSet, caller *types.Func, body *as
 		switch fun := ast.Unparen(call.Fun).(type) {
 		case *ast.Ident:
 			if callee, ok := info.Uses[fun].(*types.Func); ok {
-				edges = append(edges, Edge{Caller: caller, Callee: callee, Pos: call.Lparen})
+				edges = append(edges, Edge{Caller: caller, Callee: callee})
 			}
 		case *ast.SelectorExpr:
 			sel, ok := info.Selections[fun]
 			if !ok {
 				// Package-qualified call: pkg.F(...).
 				if callee, ok := info.Uses[fun.Sel].(*types.Func); ok {
-					edges = append(edges, Edge{Caller: caller, Callee: callee, Pos: call.Lparen})
+					edges = append(edges, Edge{Caller: caller, Callee: callee})
 				}
 				break
 			}
@@ -186,11 +152,11 @@ func collectEdges(info *types.Info, impls *implSet, caller *types.Func, body *as
 			}
 			if types.IsInterface(sel.Recv()) {
 				for _, impl := range impls.lookup(sel.Recv().Underlying().(*types.Interface), callee) {
-					edges = append(edges, Edge{Caller: caller, Callee: impl, Pos: call.Lparen, Dynamic: true})
+					edges = append(edges, Edge{Caller: caller, Callee: impl, Dynamic: true})
 				}
 				break
 			}
-			edges = append(edges, Edge{Caller: caller, Callee: callee, Pos: call.Lparen})
+			edges = append(edges, Edge{Caller: caller, Callee: callee})
 		}
 		return true
 	})

@@ -79,7 +79,6 @@ func computeInfo(u *analysis.Unit) (any, error) {
 	}
 	g := gv.(*callgraph.Graph)
 	info := &Info{
-		InR:          make(map[*types.Func]bool),
 		Tracked:      make(map[*types.Var]bool),
 		BumpReaching: make(map[*types.Func]bool),
 	}
@@ -149,9 +148,7 @@ func computeInfo(u *analysis.Unit) (any, error) {
 			}
 		}
 	}
-	for fn := range g.Reach(roots, nil) {
-		info.InR[fn] = true
-	}
+	info.InR = g.Reach(roots)
 
 	// Tracked fields: epoch-owner fields read inside R. Writes (selector
 	// as assignment target) do not count as reads.

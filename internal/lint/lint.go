@@ -1,6 +1,6 @@
 // Package lint assembles the jouleslint analyzer suite: the static
 // checks that machine-enforce the repository's simulation, locking,
-// wire-protocol, telemetry, unit-dimension, allocation, and epoch
+// wire-protocol, telemetry, unit-dimension, scratch-arena, and epoch
 // invariants.
 //
 // The suite runs from cmd/jouleslint (and scripts/lint.sh in CI). Each
@@ -24,7 +24,6 @@ import (
 	"fantasticjoules/internal/lint/deadline"
 	"fantasticjoules/internal/lint/determinism"
 	"fantasticjoules/internal/lint/epochdiscipline"
-	"fantasticjoules/internal/lint/hotpath"
 	"fantasticjoules/internal/lint/loader"
 	"fantasticjoules/internal/lint/lockdiscipline"
 	"fantasticjoules/internal/lint/metricname"
@@ -38,7 +37,6 @@ func Analyzers() []*analysis.Analyzer {
 		deadline.Analyzer,
 		determinism.Analyzer,
 		epochdiscipline.Analyzer,
-		hotpath.Analyzer,
 		lockdiscipline.Analyzer,
 		metricname.Analyzer,
 		scratchsafety.Analyzer,
@@ -48,7 +46,7 @@ func Analyzers() []*analysis.Analyzer {
 
 // ByName returns the named analyzers in request order, erroring on
 // unknown names. Repeated names are deduplicated — asking for
-// "hotpath,hotpath" runs the analyzer once — and a registry in which two
+// "deadline,deadline" runs the analyzer once — and a registry in which two
 // analyzers collide on a name is itself an error rather than a silent
 // last-one-wins shadow.
 func ByName(names []string) ([]*analysis.Analyzer, error) {

@@ -13,7 +13,7 @@ import (
 // -analyzers flag and the docs stay navigable.
 func TestSuiteRegistration(t *testing.T) {
 	all := lint.Analyzers()
-	want := []string{"deadline", "determinism", "epochdiscipline", "hotpath", "lockdiscipline", "metricname", "scratchsafety", "unitsafety"}
+	want := []string{"deadline", "determinism", "epochdiscipline", "lockdiscipline", "metricname", "scratchsafety", "unitsafety"}
 	if len(all) != len(want) {
 		t.Fatalf("Analyzers() returned %d analyzers, want %d", len(all), len(want))
 	}
@@ -38,7 +38,7 @@ func TestByName(t *testing.T) {
 		wantErr string
 	}{
 		{name: "subset in request order", in: []string{"unitsafety", "deadline"}, want: []string{"unitsafety", "deadline"}},
-		{name: "duplicates collapse", in: []string{"hotpath", "hotpath", "deadline", "hotpath"}, want: []string{"hotpath", "deadline"}},
+		{name: "duplicates collapse", in: []string{"metricname", "metricname", "deadline", "metricname"}, want: []string{"metricname", "deadline"}},
 		{name: "unknown name errors", in: []string{"nope"}, wantErr: "nope"},
 		{name: "empty request", in: nil, want: []string{}},
 	}

@@ -81,7 +81,7 @@ type Result struct {
 func (r *Result) Dep(path string) *types.Package { return r.byPath[path] }
 
 // Unit assembles the analysis.Unit for this load: the whole-program view
-// the interprocedural facts (call graph, hot-path set) are computed over.
+// the interprocedural facts (call graph, epoch info) are computed over.
 // Target packages appear in load order, sharing the result's file set.
 func (r *Result) Unit() *analysis.Unit {
 	pkgs := make([]*analysis.UnitPackage, 0, len(r.Packages))

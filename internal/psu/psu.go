@@ -66,17 +66,7 @@ func (c Curve) Efficiency(load float64) float64 {
 	if load >= last.Load {
 		return last.Efficiency
 	}
-	// Hand-rolled binary search: sort.Search takes a func value, and the
-	// capturing closure would heap-allocate on every wall-power sample.
-	i, j := 0, len(c.pts)
-	for i < j {
-		mid := int(uint(i+j) >> 1)
-		if c.pts[mid].Load < load {
-			i = mid + 1
-		} else {
-			j = mid
-		}
-	}
+	i := sort.Search(len(c.pts), func(i int) bool { return c.pts[i].Load >= load })
 	lo, hi := c.pts[i-1], c.pts[i]
 	frac := (load - lo.Load) / (hi.Load - lo.Load)
 	return lo.Efficiency + frac*(hi.Efficiency-lo.Efficiency)

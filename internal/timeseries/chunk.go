@@ -24,8 +24,6 @@ import (
 // buffer, in the append-style of the standard library. The columns must
 // be the same length; chunking a series into fixed-size runs is the
 // caller's choice (see Series.Blocks).
-//
-//joules:hotpath
 func AppendChunk(dst []byte, ts []int64, vs []float64) []byte {
 	if len(ts) != len(vs) {
 		panic(fmt.Sprintf("timeseries: AppendChunk column lengths %d vs %d", len(ts), len(vs)))
@@ -56,8 +54,6 @@ func AppendChunk(dst []byte, ts []int64, vs []float64) []byte {
 // nothing — the steady-state of a spill reader draining a stream of
 // equal-sized chunks. Corrupt or truncated input returns an error and
 // leaves dst exactly as it was.
-//
-//joules:hotpath
 func DecodeChunk(dst *Series, data []byte) ([]byte, error) {
 	count, k := binary.Uvarint(data)
 	if k <= 0 {
@@ -72,7 +68,6 @@ func DecodeChunk(dst *Series, data []byte) ([]byte, error) {
 	}
 	n := int(count)
 	base := len(dst.ts)
-	//jouleslint:ignore hotpath -- amortized growth: steady-state spill readers decode into pre-grown capacity (NewWithCap or Reset)
 	dst.grow(base + n)
 	wasSorted := dst.sorted
 	var prev, prevDelta int64

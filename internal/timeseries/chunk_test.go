@@ -84,9 +84,10 @@ func TestDecodeChunkCorrupt(t *testing.T) {
 	}
 }
 
-// TestDecodeChunkZeroAlloc pins the steady-state decode loop at zero
+// TestDecodeChunkZeroAlloc pins the steady-state chunk codec at zero
 // allocations: a Reset destination with enough capacity refills from a
-// chunk without touching the allocator.
+// chunk, and a chunk encodes into a pre-grown buffer, without touching
+// the allocator.
 func TestDecodeChunkZeroAlloc(t *testing.T) {
 	ts, vs := chunkColumns(1024, 9)
 	buf := AppendChunk(nil, ts, vs)
@@ -99,6 +100,17 @@ func TestDecodeChunkZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state DecodeChunk allocates %v times per run, want 0", allocs)
+	}
+
+	enc := make([]byte, 0, len(buf))
+	allocs = testing.AllocsPerRun(100, func() {
+		enc = AppendChunk(enc[:0], ts, vs)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendChunk into a pre-grown buffer allocates %v times per run, want 0", allocs)
+	}
+	if string(enc) != string(buf) {
+		t.Error("re-encoding into a reused buffer changed the chunk bytes")
 	}
 }
 

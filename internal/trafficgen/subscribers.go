@@ -83,8 +83,6 @@ func Cohorts() [NumCohorts]CohortProfile {
 // over a week, so a cohort's mean demand is also its mean offered load.
 // The fleet replay hoists this to once per step per router shard: the
 // per-interface hot path is then a NumCohorts-term dot product.
-//
-//joules:hotpath
 func CohortMultipliers(t time.Time, out *[NumCohorts]float64) {
 	hour := float64(t.Hour()) + float64(t.Minute())/60
 	wd := t.Weekday()

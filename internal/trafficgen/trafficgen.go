@@ -183,8 +183,6 @@ func DefaultDiurnal() Diurnal {
 // Multiplier returns the traffic multiplier at time t using rng for the
 // noise term. It is always non-negative; with zero noise its mean over a
 // week is ≈1.
-//
-//joules:hotpath
 func (d Diurnal) Multiplier(t time.Time, rng *rand.Rand) float64 {
 	hour := float64(t.Hour()) + float64(t.Minute())/60
 	phase := 2 * math.Pi * (hour - d.PeakHour) / 24

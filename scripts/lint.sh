@@ -5,8 +5,7 @@
 # over every package: determinism of the simulation packages, the
 # *Locked/BeginStep lock discipline, deadline coverage on the collection
 # plane's conns, telemetry metric naming, unit-dimension safety, and the
-# interprocedural trio — hot-path allocation discipline, scratch-arena
-# escapes, and epoch-bump coverage. Per-fact and per-analyzer wall times
+# interprocedural pair — scratch-arena escapes and epoch-bump coverage. Per-fact and per-analyzer wall times
 # go to stderr (-time) so a slow analyzer is visible in the CI log, not
 # just as a slower total.
 #
