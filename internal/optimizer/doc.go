@@ -4,10 +4,12 @@
 // fleet, decides step by step which internal links to sleep (greedy, the
 // exact hypnos.Planner decision procedure, so the static case is
 // identical to the §8 schedule) and which PSUs to shed, actuates the
-// decisions as declarative ispnet.FleetEvents through the incremental
-// Fleet.Resimulate path, and measures the *realized* joules saved against
-// the no-op baseline dataset — wall-side, through the PSU conversion
-// loss, not the DC-side estimate.
+// decisions as declarative ispnet.FleetEvents perturbed into the fleet,
+// and measures the *realized* joules saved against the no-op baseline
+// dataset — wall-side, through the PSU conversion loss, not the DC-side
+// estimate. The fleet is replayed incrementally (Fleet.Resimulate) only
+// where its dataset is read: once after the window-end wake-all and once
+// after the PSU shed.
 //
 // Every proposed action passes the SLA guardrail before it commits: the
 // awake part of the graph must keep the full topology's connectivity (no

@@ -11,7 +11,7 @@ var (
 	metricVetoes = telemetry.Default().Counter("optimizer_vetoes_total",
 		"sleep candidates rejected by the SLA guardrail before commit")
 	metricResimulates = telemetry.Default().Counter("optimizer_resimulates_total",
-		"incremental fleet replays triggered by committed control steps")
+		"incremental fleet replays run before the controller reads the fleet dataset (at most two per run)")
 	metricSavedJoules = telemetry.Default().Gauge("optimizer_realized_saved_joules",
 		"realized energy saved vs the no-op baseline over the last run (wall side)")
 	metricSavedWatts = telemetry.Default().Gauge("optimizer_realized_saved_watts",

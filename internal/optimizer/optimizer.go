@@ -111,7 +111,9 @@ type Report struct {
 	Steps []StepRecord
 	// Actions counts committed actuation events (one per endpoint, so two
 	// per link transition); Vetoes counts guardrail rejections;
-	// Resimulates counts incremental fleet replays.
+	// Resimulates counts incremental fleet replays that ran: one before
+	// the window-end read if anything was actuated, one before the
+	// post-shed read if any PSU was shed — at most two per run.
 	Actions     int
 	Vetoes      int
 	Resimulates int
@@ -156,6 +158,11 @@ func (r *Report) Transitions() int {
 // network model so observation is independent of its own actuation),
 // plans each step with the shared hypnos.Planner, and actuates committed
 // transitions on the retained fleet.
+//
+// Actuation is queued, not replayed, step by step: while Run is between
+// steps the fleet holds pending perturbations and Fleet.Dataset() is
+// stale. Read datasets only from the returned Report or after Run
+// returns, when the fleet has no pending perturbations.
 type Controller struct {
 	fleet   *ispnet.Fleet
 	topo    hypnos.Topology
@@ -173,7 +180,8 @@ type Controller struct {
 // the retained (mutated) network — so the observed load model matches
 // what the shards realize. The fleet's current dataset is the no-op
 // baseline every saving is measured against; scenario events must be
-// perturbed and resimulated before New so they are part of the baseline.
+// perturbed and resimulated before New so they are part of the baseline
+// (Run rejects a fleet with pending perturbations).
 func New(fleet *ispnet.Fleet, topo hypnos.Topology, traffic hypnos.TrafficFunc, cfg Config) (*Controller, error) {
 	if fleet == nil {
 		return nil, errors.New("optimizer: nil fleet")
@@ -225,8 +233,9 @@ func actuation(l hypnos.Link, t time.Time, sleep bool) [2]ispnet.FleetEvent {
 	}
 }
 
-// commit perturbs the fleet with a step's actuation events and replays
-// the dirty routers incrementally.
+// commit queues a step's actuation events on the fleet and records them.
+// Nothing is replayed here; resimulate replays them when Run next reads
+// the fleet's dataset.
 func (c *Controller) commit(rep *Report, evs []ispnet.FleetEvent) error {
 	if len(evs) == 0 {
 		return nil
@@ -234,15 +243,28 @@ func (c *Controller) commit(rep *Report, evs []ispnet.FleetEvent) error {
 	if err := c.fleet.Perturb(evs...); err != nil {
 		return err
 	}
-	if _, err := c.fleet.Resimulate(); err != nil {
-		return err
-	}
 	rep.Events = append(rep.Events, evs...)
 	rep.Actions += len(evs)
-	rep.Resimulates++
 	metricActions.Add(uint64(len(evs)))
-	metricResimulates.Inc()
 	return nil
+}
+
+// resimulate replays the routers perturbed since the last read and
+// returns the fleet's current dataset. With nothing pending it replays
+// nothing and counts nothing. Replaying the accumulated dirty set once is
+// bit-identical to replaying it step by step (and to a cold
+// SimulateWithEvents of Report.Events).
+func (c *Controller) resimulate(rep *Report) (*ispnet.Dataset, error) {
+	if c.fleet.DirtyRouters() == 0 {
+		return c.fleet.Dataset(), nil
+	}
+	ds, err := c.fleet.Resimulate()
+	if err != nil {
+		return nil, err
+	}
+	rep.Resimulates++
+	metricResimulates.Inc()
+	return ds, nil
 }
 
 // audit is the independent post-decision check of the committed plan: the
@@ -288,16 +310,21 @@ func (c *Controller) audit(sleeping []int, down []bool, loads []float64) error {
 // Run executes the control loop over the configured window and returns
 // the decision trace plus realized savings. The loop: observe link loads
 // at the step time, plan with the shared greedy policy + guardrail,
-// actuate the transitions as fleet events, replay incrementally. At the
-// window end every still-sleeping link is woken, so the savings integral
-// covers exactly the control window; the PSU provisioning pass (if
-// enabled) then sheds redundant supplies for the remainder of the study.
+// queue the transitions as fleet events. At the window end every
+// still-sleeping link is woken, so the savings integral covers exactly
+// the control window, and the queued events are replayed once to read
+// the sleep dataset; the PSU provisioning pass (if enabled) then sheds
+// redundant supplies for the remainder of the study and replays once
+// more.
 // Deterministic: same fleet config, scenario, and Config produce the same
 // trace and the same realized joules, bit for bit.
 func (c *Controller) Run() (*Report, error) {
 	baseline := c.fleet.Dataset()
 	if baseline == nil {
 		return nil, errors.New("optimizer: fleet has no dataset")
+	}
+	if n := c.fleet.DirtyRouters(); n > 0 {
+		return nil, fmt.Errorf("optimizer: %d routers have perturbations not yet resimulated; resimulate before Run so they are part of the baseline", n)
 	}
 	rep := &Report{BaselineJoules: units.Energy(timeseries.IntegratePower(baseline.TotalPower))}
 
@@ -355,7 +382,10 @@ func (c *Controller) Run() (*Report, error) {
 		return nil, err
 	}
 
-	sleepDS := c.fleet.Dataset()
+	sleepDS, err := c.resimulate(rep)
+	if err != nil {
+		return nil, err
+	}
 	rep.SleepJoules = units.Energy(timeseries.IntegratePower(sleepDS.TotalPower))
 	rep.SleepSavedJoules = rep.BaselineJoules - rep.SleepJoules
 	rep.SleepSavedWatts = units.Power(rep.SleepSavedJoules.Joules() / c.cfg.Window.Seconds())
@@ -368,7 +398,11 @@ func (c *Controller) Run() (*Report, error) {
 		}
 		rep.PSUsShed = shed
 		if shed > 0 {
-			rep.FinalJoules = units.Energy(timeseries.IntegratePower(c.fleet.Dataset().TotalPower))
+			finalDS, err := c.resimulate(rep)
+			if err != nil {
+				return nil, err
+			}
+			rep.FinalJoules = units.Energy(timeseries.IntegratePower(finalDS.TotalPower))
 			rep.PSUSavedJoules = rep.SleepJoules - rep.FinalJoules
 		}
 	}

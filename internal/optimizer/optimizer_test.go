@@ -10,6 +10,7 @@ import (
 	"fantasticjoules/internal/hypnos"
 	"fantasticjoules/internal/ispnet"
 	"fantasticjoules/internal/optimizer"
+	"fantasticjoules/internal/telemetry"
 )
 
 var start = time.Date(2024, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -200,6 +201,101 @@ func TestColdReplayMatchesIncremental(t *testing.T) {
 	if err := ispnet.DiffDatasets(cold, f.Dataset()); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRunReplaysOncePerRead pins when the controller pays for a fleet
+// replay: control steps only queue their actuation, and Run replays the
+// accumulated dirty set once before each read of the fleet's dataset —
+// after the window-end wake-all, and after the PSU shed when one shed
+// anything. A run that actuates nothing replays nothing and hands back
+// the baseline dataset itself.
+func TestRunReplaysOncePerRead(t *testing.T) {
+	counter := telemetry.Default().Counter("optimizer_resimulates_total", "")
+	cfg := quickCfg()
+	topo0, _ := topoFor(t, cfg)
+	sc := optimizer.FaultStorm(topo0, 11, start, cfg.Duration)
+	allDown := func(int, time.Time) bool { return true }
+
+	for _, tc := range []struct {
+		name      string
+		down      func(int, time.Time) bool
+		psuShed   bool
+		wantResim int
+	}{
+		{"storm+shed", sc.Down, true, 2},
+		{"storm", sc.Down, false, 1},
+		{"idle", allDown, false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, topo, traffic := rig(t, cfg, &sc)
+			baseline := f.Dataset()
+			c, err := optimizer.New(f, topo, traffic, optimizer.Config{
+				Start: start, Window: 2 * 24 * time.Hour, MinDwellSteps: 4, Down: tc.down,
+				MaxUtilization: optimizer.DefaultMaxUtilization,
+				PSUShed:        tc.psuShed, PSUMaxLoad: optimizer.DefaultPSUMaxLoad,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := counter.Value()
+			rep, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			actuating := 0
+			for _, st := range rep.Steps {
+				if len(st.Slept)+len(st.Woke) > 0 {
+					actuating++
+				}
+			}
+			if tc.wantResim > 0 && actuating < 2 {
+				t.Fatalf("only %d actuating steps; the case needs several", actuating)
+			}
+			if tc.psuShed && rep.PSUsShed == 0 {
+				t.Fatal("no PSUs shed")
+			}
+			if rep.Resimulates != tc.wantResim {
+				t.Errorf("Resimulates = %d over %d actuating steps, want %d", rep.Resimulates, actuating, tc.wantResim)
+			}
+			if got := counter.Value() - before; got != uint64(rep.Resimulates) {
+				t.Errorf("optimizer_resimulates_total moved %d, Report.Resimulates = %d", got, rep.Resimulates)
+			}
+			if n := f.DirtyRouters(); n != 0 {
+				t.Errorf("%d routers left dirty after Run", n)
+			}
+			if rep.GuardrailViolations != 0 {
+				t.Errorf("guardrail violations = %d, want 0", rep.GuardrailViolations)
+			}
+			if tc.wantResim == 0 {
+				if rep.Actions != 0 || rep.PSUsShed != 0 {
+					t.Fatalf("idle run actuated: %d actions, %d PSUs shed", rep.Actions, rep.PSUsShed)
+				}
+				if f.Dataset() != baseline {
+					t.Error("idle run replaced the baseline dataset")
+				}
+				if rep.FinalJoules != rep.BaselineJoules {
+					t.Errorf("idle run: final %v, baseline %v", rep.FinalJoules, rep.BaselineJoules)
+				}
+			}
+		})
+	}
+
+	t.Run("pending", func(t *testing.T) {
+		f, topo, traffic := rig(t, cfg, nil)
+		c, err := optimizer.New(f, topo, traffic, optimizer.Config{
+			Start: start, Window: 24 * time.Hour, MaxUtilization: optimizer.DefaultMaxUtilization,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := topo.Links[0]
+		if err := f.Perturb(ispnet.FleetEvent{At: start, Router: l.A.Router, Op: ispnet.OpSleep, Iface: l.A.Interface}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(); err == nil {
+			t.Error("Run accepted a fleet with pending perturbations; its baseline would be stale")
+		}
+	})
 }
 
 // TestPSUShedSavesEnergy checks the §9.3.4 provisioning pass: redundant
